@@ -11,12 +11,18 @@
 //	curl 'http://127.0.0.1:8080/stats'
 //
 // Writes (ingest, flush) are serialized on the stream; queries never
-// touch it. Every boundary that changes the factors publishes a cloned,
-// read-only snapshot behind an atomic pointer — epoch-swapped, so any
-// number of concurrent readers score against a consistent model while
-// the next micro-batch lands. On SIGTERM the listener stops accepting,
-// in-flight requests drain, pending events are flushed, and the final
-// checkpoint is written to -state before the process exits.
+// touch it. Every write that changes the factors publishes a read-only
+// snapshot behind an atomic pointer — epoch-swapped, so any number of
+// concurrent readers score against a consistent model while the next
+// micro-batch lands. Snapshots hold each factor as fixed-size row
+// pages and are copy-on-write: a publish copies only the pages holding
+// rows the stream reports changed (plus the tail pages of a grown
+// mode) and shares every other page with the previous snapshot, so an
+// /ingest costs what its batch touched, not what the model holds.
+// Sweeps, /flush and resume publish through the same path with every
+// page dirty. On SIGTERM the listener stops accepting, in-flight
+// requests drain, pending events are flushed, and the final checkpoint
+// is written to -state before the process exits.
 package main
 
 import (
@@ -52,16 +58,91 @@ type serveConfig struct {
 	ready chan<- net.Addr // tests: receives the bound address once listening
 }
 
-// factorSnapshot is one epoch's published read-only model: deep clones
-// of the factors, swapped in atomically after every write that changes
-// them. Readers load the pointer once and score against a consistent
-// model for the whole request.
+// pageRows is the number of factor rows per snapshot page: the unit a
+// publish copies. At rank 10 a page is 5 KiB, and a Book-sized mode of
+// 1e5 rows needs ~1.6e3 page pointers re-shared per publish (see
+// DESIGN.md, "Ingestion model", for how the size was chosen).
+const pageRows = 64
+
+// pagedFactor is one mode's factor in a snapshot, held as row pages of
+// pageRows rows (the last page holds the remainder). Pages are never
+// written after publication, which is what lets consecutive snapshots
+// share them.
+type pagedFactor struct {
+	rows, cols int
+	pages      [][]float64
+}
+
+// row returns row i, a view into its page.
+func (f *pagedFactor) row(i int) []float64 {
+	o := (i % pageRows) * f.cols
+	return f.pages[i/pageRows][o : o+f.cols]
+}
+
+// repage returns live as pages, sharing prev's pages except those that
+// hold a changed row, prev's tail page if the mode grew, and any new
+// pages — those are copied from live. changed must be sorted
+// ascending. A nil prev copies every page. It also returns how many
+// pages it copied.
+func repage(prev *pagedFactor, live *mat.Dense, changed []int) (pagedFactor, int) {
+	n := (live.Rows + pageRows - 1) / pageRows
+	out := pagedFactor{rows: live.Rows, cols: live.Cols, pages: make([][]float64, n)}
+	first := 0 // pages from here on are copied wholesale
+	if prev != nil {
+		first = n
+		if live.Rows > prev.rows {
+			first = prev.rows / pageRows
+		}
+		copy(out.pages[:first], prev.pages)
+	}
+	copied := 0
+	copyPage := func(p int) {
+		lo, hi := p*pageRows*live.Cols, min((p+1)*pageRows, live.Rows)*live.Cols
+		out.pages[p] = append([]float64(nil), live.Data[lo:hi]...)
+		copied++
+	}
+	last := -1
+	for _, i := range changed {
+		p := i / pageRows
+		if p >= first {
+			break // the rest fall in pages copied below
+		}
+		if p != last {
+			copyPage(p)
+			last = p
+		}
+	}
+	for p := first; p < n; p++ {
+		copyPage(p)
+	}
+	return out, copied
+}
+
+// factorSnapshot is one epoch's published read-only model: the factors
+// as copy-on-write row pages, swapped in atomically after every write
+// that changes them. Readers load the pointer once and score against a
+// consistent model for the whole request.
 type factorSnapshot struct {
 	epoch   int64
 	dims    []int
-	factors []*mat.Dense
+	factors []pagedFactor
 	sweeps  int // full-sweep boundaries behind this model
 	pending int // events awaiting the next sweep when published
+}
+
+// predict evaluates the Kruskal model at idx through the page view,
+// with cp.Reconstruct's exact operation order — so it is bitwise equal
+// to dismastd.Predict on the factors the snapshot was taken from.
+func (s *factorSnapshot) predict(idx []int) float64 {
+	total := 0.0
+	for c := 0; c < s.factors[0].cols; c++ {
+		p := 1.0
+		for k := range s.factors {
+			p *= s.factors[k].row(idx[k])[c]
+		}
+		total += p
+	}
+	return total
 }
 
 // serveServer is the HTTP front end: a write-locked stream plus the
@@ -72,35 +153,57 @@ type serveServer struct {
 	snap   atomic.Pointer[factorSnapshot]
 	epoch  atomic.Int64
 
-	events  atomic.Int64
-	queries atomic.Int64
-	log     *slog.Logger
+	events      atomic.Int64
+	queries     atomic.Int64
+	pagesCopied atomic.Int64 // snapshot pages copied by publishes, cumulative
+	pagesTotal  atomic.Int64 // snapshot pages published (copied or shared), cumulative
+	log         *slog.Logger
 }
 
 func newServeServer(stream *dismastd.Stream, log *slog.Logger) *serveServer {
 	s := &serveServer{stream: stream, log: log}
-	s.publishLocked() // a resumed stream has a model to serve immediately
+	s.publishLocked(nil) // a resumed stream has a model to serve immediately
 	return s
 }
 
-// publishLocked clones the live factors into a fresh snapshot and swaps
-// it in. Callers must hold s.mu. Before the first data it is a no-op —
-// queries answer 503 until the first flush initialises the model.
-func (s *serveServer) publishLocked() {
+// publishLocked swaps in a snapshot of the live factors. rep names the
+// rows the last IngestEvents changed; nil — a flush or a fresh server —
+// means every row may have changed. Callers must hold s.mu. Before the
+// first data it is a no-op — queries answer 503 until the first flush
+// initialises the model.
+func (s *serveServer) publishLocked(rep *dismastd.EventReport) {
 	factors := s.stream.Factors()
 	if factors == nil {
 		return
 	}
+	prev := s.snap.Load()
+	if prev == nil || (rep != nil && rep.AllChanged) {
+		rep = nil
+	}
 	snap := &factorSnapshot{
 		epoch:   s.epoch.Add(1),
 		dims:    append([]int(nil), s.stream.Dims()...),
-		factors: make([]*mat.Dense, len(factors)),
+		factors: make([]pagedFactor, len(factors)),
 		sweeps:  s.stream.Snapshots(),
 		pending: s.stream.Pending(),
 	}
+	copied, total := 0, 0
 	for m, f := range factors {
-		snap.factors[m] = f.Clone()
+		var base *pagedFactor
+		var changed []int
+		if rep != nil {
+			base = &prev.factors[m]
+			if m < len(rep.Changed) {
+				changed = rep.Changed[m]
+			}
+		}
+		var c int
+		snap.factors[m], c = repage(base, f, changed)
+		copied += c
+		total += len(snap.factors[m].pages)
 	}
+	s.pagesCopied.Add(int64(copied))
+	s.pagesTotal.Add(int64(total))
 	s.snap.Store(snap)
 }
 
@@ -153,11 +256,16 @@ func (s *serveServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	rep, err := s.stream.IngestEvents(events)
 	if err != nil {
+		// A rejected batch changed nothing; a failed sweep after the
+		// batch applied reports the rows it already rewrote.
+		if rep.RowsUpdated > 0 || rep.Grew {
+			s.publishLocked(&rep)
+		}
 		s.mu.Unlock()
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	s.publishLocked()
+	s.publishLocked(&rep)
 	resp := ingestResponse{
 		Events:      rep.Events,
 		RowsUpdated: rep.RowsUpdated,
@@ -187,7 +295,7 @@ func (s *serveServer) handleFlush(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
-	s.publishLocked()
+	s.publishLocked(nil)
 	epoch := s.epoch.Load()
 	s.mu.Unlock()
 	out := map[string]any{"swept": rep != nil, "epoch": epoch}
@@ -240,7 +348,7 @@ func (s *serveServer) handlePredict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.queries.Add(1)
-	writeJSON(w, map[string]any{"epoch": snap.epoch, "at": idx, "value": dismastd.Predict(snap.factors, idx)})
+	writeJSON(w, map[string]any{"epoch": snap.epoch, "at": idx, "value": snap.predict(idx)})
 }
 
 // topKResult is one scored row of the target mode.
@@ -274,41 +382,94 @@ func (s *serveServer) handleTopK(w http.ResponseWriter, r *http.Request) {
 	}
 	// Collapse the fixed modes into one rank-length weight vector, then
 	// score every row of the target mode with a single dot product.
-	rank := snap.factors[0].Cols
-	weights := make([]float64, rank)
+	target := &snap.factors[mode]
+	weights := make([]float64, target.cols)
 	for c := range weights {
 		weights[c] = 1
 	}
-	for m, f := range snap.factors {
+	for m := range snap.factors {
 		if m == mode {
 			continue
 		}
-		row := f.Row(idx[m])
+		row := snap.factors[m].row(idx[m])
 		for c := range weights {
 			weights[c] *= row[c]
 		}
 	}
-	target := snap.factors[mode]
-	results := make([]topKResult, target.Rows)
-	for i := 0; i < target.Rows; i++ {
-		row := target.Row(i)
-		score := 0.0
-		for c, wc := range weights {
-			score += wc * row[c]
+	top := newTopK(min(k, target.rows))
+	for p, page := range target.pages {
+		for o := 0; o < len(page); o += target.cols {
+			row := page[o : o+target.cols]
+			score := 0.0
+			for c, wc := range weights {
+				score += wc * row[c]
+			}
+			top.offer(p*pageRows+o/target.cols, score)
 		}
-		results[i] = topKResult{Index: i, Score: score}
-	}
-	sort.Slice(results, func(a, b int) bool {
-		if results[a].Score != results[b].Score {
-			return results[a].Score > results[b].Score
-		}
-		return results[a].Index < results[b].Index
-	})
-	if k > len(results) {
-		k = len(results)
 	}
 	s.queries.Add(1)
-	writeJSON(w, map[string]any{"epoch": snap.epoch, "mode": mode, "results": results[:k]})
+	writeJSON(w, map[string]any{"epoch": snap.epoch, "mode": mode, "results": top.sorted()})
+}
+
+// topK keeps the k best of a stream of scored rows in a bounded
+// min-heap whose root is the worst kept row. "Best" is the /topk
+// order: score descending, ties by ascending index.
+type topK struct {
+	k    int
+	heap []topKResult
+}
+
+func newTopK(k int) *topK { return &topK{k: k, heap: make([]topKResult, 0, k)} }
+
+// better reports whether a ranks ahead of b.
+func better(a, b topKResult) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.Index < b.Index
+}
+
+// offer considers row i with the given score.
+func (t *topK) offer(i int, score float64) {
+	r := topKResult{Index: i, Score: score}
+	h := t.heap
+	if len(h) < t.k {
+		h = append(h, r)
+		for c := len(h) - 1; c > 0; { // sift up: a worse row moves rootward
+			p := (c - 1) / 2
+			if !better(h[p], h[c]) {
+				break
+			}
+			h[p], h[c] = h[c], h[p]
+			c = p
+		}
+		t.heap = h
+		return
+	}
+	if !better(r, h[0]) {
+		return
+	}
+	h[0] = r
+	for p := 0; ; { // sift down: the worse child moves rootward
+		w := p
+		if l := 2*p + 1; l < len(h) && better(h[w], h[l]) {
+			w = l
+		}
+		if rc := 2*p + 2; rc < len(h) && better(h[w], h[rc]) {
+			w = rc
+		}
+		if w == p {
+			return
+		}
+		h[p], h[w] = h[w], h[p]
+		p = w
+	}
+}
+
+// sorted returns the kept rows best first.
+func (t *topK) sorted() []topKResult {
+	sort.Slice(t.heap, func(a, b int) bool { return better(t.heap[a], t.heap[b]) })
+	return t.heap
 }
 
 func (s *serveServer) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -316,6 +477,9 @@ func (s *serveServer) handleStats(w http.ResponseWriter, r *http.Request) {
 		"events":  s.events.Load(),
 		"queries": s.queries.Load(),
 		"epoch":   s.epoch.Load(),
+
+		"publish_pages_copied": s.pagesCopied.Load(),
+		"publish_pages_total":  s.pagesTotal.Load(),
 	}
 	if snap := s.snap.Load(); snap != nil {
 		out["dims"] = snap.dims

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -131,4 +132,60 @@ func benchServe(b *testing.B, clients int) {
 		b.ReportMetric(q(0.99), "query_p99_us")
 		b.ReportMetric(float64(len(all))/elapsed, "queries_per_sec")
 	}
+}
+
+// BenchmarkServePublish measures one copy-on-write snapshot publish
+// after a 100-event /ingest batch on a Book-sized model: the serve
+// shape's 75% dims (112500×21000×96) at rank 10, a 10.7 MB model. The
+// events land at uniformly random rows inside the model, the worst
+// case for paging (each touches its own page in the two large modes).
+// Only the publish is timed, so ns/op and B/op are its cost alone;
+// pages_copied/op and pages_total/op say how much of the model it
+// copied.
+func BenchmarkServePublish(b *testing.B) {
+	dims := []int{112_500, 21_000, 96}
+	rng := rand.New(rand.NewSource(1))
+	draw := func(n int) []dismastd.Event {
+		events := make([]dismastd.Event, n)
+		for i := range events {
+			c := make([]int, len(dims))
+			for m, d := range dims {
+				c[m] = rng.Intn(d)
+			}
+			events[i] = dismastd.Event{Coords: c, Value: 1 + rng.Float64()}
+		}
+		return events
+	}
+	stream := dismastd.NewStream(dismastd.Options{Rank: 10, MaxIters: 1, Seed: 1})
+	warm := draw(4000)
+	warm[0].Coords = []int{dims[0] - 1, dims[1] - 1, dims[2] - 1} // pin the dims
+	if _, err := stream.IngestEvents(warm); err != nil {
+		b.Fatal(err)
+	}
+	if _, err := stream.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	srv := newServeServer(stream, obs.NewLogger(io.Discard, slog.LevelError))
+	batches := make([][]dismastd.Event, b.N)
+	for i := range batches {
+		batches[i] = draw(100)
+	}
+	c0, t0 := srv.pagesCopied.Load(), srv.pagesTotal.Load()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		rep, err := stream.IngestEvents(batches[i])
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv.mu.Lock()
+		b.StartTimer()
+		srv.publishLocked(&rep)
+		b.StopTimer()
+		srv.mu.Unlock()
+	}
+	b.ReportMetric(float64(srv.pagesCopied.Load()-c0)/float64(b.N), "pages_copied/op")
+	b.ReportMetric(float64(srv.pagesTotal.Load()-t0)/float64(b.N), "pages_total/op")
 }

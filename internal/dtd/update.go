@@ -28,11 +28,14 @@ import (
 // bulk path's bitwise-exact result and re-anchors the updater (Reset).
 //
 // All scratch is allocated in NewUpdater and retained across calls, so
-// a warmed Apply performs zero heap allocations (Grow allocates — mode
-// growth is not steady state). The row loop is deliberately sequential:
-// rows are solved in ascending order and Gram maintenance folds each
-// row in as it lands, which keeps the result bitwise deterministic for
-// a given event sequence at any thread count upstream.
+// a warmed Apply performs zero heap allocations. Grow appends the new
+// rows into geometrically grown spare capacity, so it allocates only
+// when a factor outgrows that capacity — amortised O(R) per new row
+// rather than a copy of the whole factor per growth. The row loop is
+// deliberately sequential: rows are solved in ascending order and Gram
+// maintenance folds each row in as it lands, which keeps the result
+// bitwise deterministic for a given event sequence at any thread count
+// upstream.
 type Updater struct {
 	opts       Options
 	live       *State
@@ -50,7 +53,7 @@ type Updater struct {
 	l0, l1             *mat.Dense // Cholesky factors of d0, d1
 	numBuf             *mat.Dense // 1×R numerator / in-place solution
 	tmp, oldRow        []float64
-	touched            []int32
+	touched            [][]int32 // per mode: rows the last Apply re-solved
 
 	events      int64
 	rowsTouched int64
@@ -67,24 +70,25 @@ func NewUpdater(st *State, o Options) (*Updater, error) {
 	r := opts.Rank
 	n := len(st.Dims)
 	u := &Updater{
-		opts:   opts,
-		tilde:  make([]*mat.Dense, n),
-		gram0:  make([]*mat.Dense, n),
-		gram1:  make([]*mat.Dense, n),
-		cross:  make([]*mat.Dense, n),
-		src:    xrand.New(opts.Seed),
-		ws:     mat.NewWorkspace(),
-		d0:     mat.New(r, r),
-		d1:     mat.New(r, r),
-		g0prod: mat.New(r, r),
-		hprod:  mat.New(r, r),
-		sum:    mat.New(r, r),
-		l0:     mat.New(r, r),
-		l1:     mat.New(r, r),
-		numBuf: mat.New(1, r),
-		tmp:    make([]float64, r),
-		oldRow: make([]float64, r),
-		delta:  layout.NewDelta(st.Dims),
+		opts:    opts,
+		tilde:   make([]*mat.Dense, n),
+		gram0:   make([]*mat.Dense, n),
+		gram1:   make([]*mat.Dense, n),
+		cross:   make([]*mat.Dense, n),
+		touched: make([][]int32, n),
+		src:     xrand.New(opts.Seed),
+		ws:      mat.NewWorkspace(),
+		d0:      mat.New(r, r),
+		d1:      mat.New(r, r),
+		g0prod:  mat.New(r, r),
+		hprod:   mat.New(r, r),
+		sum:     mat.New(r, r),
+		l0:      mat.New(r, r),
+		l1:      mat.New(r, r),
+		numBuf:  mat.New(1, r),
+		tmp:     make([]float64, r),
+		oldRow:  make([]float64, r),
+		delta:   layout.NewDelta(st.Dims),
 	}
 	for m := 0; m < n; m++ {
 		u.gram0[m] = mat.New(r, r)
@@ -116,6 +120,9 @@ func (u *Updater) Reset(st *State) {
 		u.cross[m].CopyFrom(u.gram0[m])
 	}
 	u.delta.Reset()
+	for m := range u.touched {
+		u.touched[m] = u.touched[m][:0]
+	}
 	grown := false
 	for m, d := range st.Dims {
 		if u.delta.Dims()[m] != d {
@@ -132,7 +139,9 @@ func (u *Updater) Reset(st *State) {
 // Grow extends the live mode sizes for out-of-range events — the
 // multi-aspect case. New rows join the growth block: they are
 // initialised like a sweep's growth rows (uniform random) and folded
-// into gram1 so the next Apply's denominators see them.
+// into gram1 so the next Apply's denominators see them. The rows are
+// appended in place (mat.AppendRows), so the live factor's Dense may
+// be replaced; rows below the old size keep their values.
 func (u *Updater) Grow(dims []int) error {
 	if len(dims) != len(u.live.Dims) {
 		return fmt.Errorf("%w: order %d vs %d", ErrDimsMismatch, len(dims), len(u.live.Dims))
@@ -147,8 +156,13 @@ func (u *Updater) Grow(dims []int) error {
 		if d == old {
 			continue
 		}
-		growth := mat.RandomUniform(d-old, u.opts.Rank, u.src)
-		u.live.Factors[m] = mat.StackRows(u.live.Factors[m], growth)
+		f := mat.AppendRows(u.live.Factors[m], d-old)
+		u.live.Factors[m] = f
+		// Drawn row-major, exactly as mat.RandomUniform draws.
+		growth := f.SliceRows(old, d)
+		for i := range growth.Data {
+			growth.Data[i] = u.src.Float64()
+		}
 		for i := 0; i < growth.Rows; i++ {
 			row := growth.Row(i)
 			addOuter(u.gram1[m], row, row, 1)
@@ -177,6 +191,13 @@ func (u *Updater) Events() int64 { return u.events }
 // last Reset — the bounded work the event path actually did.
 func (u *Updater) RowsTouched() int64 { return u.rowsTouched }
 
+// Touched returns the rows of mode m that the last Apply re-solved,
+// sorted ascending and distinct — the only rows of mode m whose live
+// values Apply rewrites. Rows a Grow appended are new as well but are
+// not listed unless an event touched them. The slice is the updater's
+// own buffer, valid until the next Apply or Reset.
+func (u *Updater) Touched(m int) []int32 { return u.touched[m] }
+
 // Delta exposes the pending region (read-only) so the flush path can
 // rebuild the sweep snapshot without a second copy of the entries.
 func (u *Updater) Delta() *layout.Delta { return u.delta }
@@ -195,11 +216,11 @@ func (u *Updater) Apply(coords []int32, vals []float64) {
 	u.delta.Append(coords, vals)
 	u.events += int64(len(vals))
 	for m := 0; m < n; m++ {
-		u.touched = u.touched[:0]
+		t := u.touched[m][:0]
 		for e := range vals {
-			u.touched = append(u.touched, coords[e*n+m])
+			t = append(t, coords[e*n+m])
 		}
-		u.touched = sortDedup(u.touched)
+		u.touched[m] = sortDedup(t)
 		u.updateMode(m)
 	}
 }
@@ -214,7 +235,7 @@ func (u *Updater) updateMode(m int) {
 	mat.RidgeCholeskyInto(u.l1, u.d1, u.ws)
 
 	num := u.numBuf.Row(0)
-	for _, i := range u.touched {
+	for _, i := range u.touched[m] {
 		u.rowsTouched++
 		for c := range num {
 			num[c] = 0

@@ -243,3 +243,92 @@ func TestUpdaterApplyNoAllocWarm(t *testing.T) {
 		t.Fatalf("warmed Apply allocates %v per run", allocs)
 	}
 }
+
+// TestUpdaterApplyWritesOnlyTouchedRows pins the changed-row contract
+// the serving front end's copy-on-write publish relies on: across
+// in-anchor batches and a growth step, every live row that differs
+// after Apply is listed by Touched, and every listed row was solved.
+func TestUpdaterApplyWritesOnlyTouchedRows(t *testing.T) {
+	opts := Options{Rank: 3, MaxIters: 10, Seed: 5}
+	u, st := anchoredUpdater(t, []int{9, 7, 5}, opts)
+	check := func(label string, coords []int32, vals []float64) {
+		t.Helper()
+		before := make([]*mat.Dense, len(st.Factors))
+		for m, f := range st.Factors {
+			before[m] = f.Clone()
+		}
+		u.Apply(coords, vals)
+		n := len(st.Dims)
+		for m, f := range st.Factors {
+			listed := map[int]bool{}
+			prev := int32(-1)
+			for _, i := range u.Touched(m) {
+				if i <= prev {
+					t.Fatalf("%s: mode %d Touched not sorted and distinct: %v", label, m, u.Touched(m))
+				}
+				prev = i
+				listed[int(i)] = true
+			}
+			for e := range vals {
+				if !listed[int(coords[e*n+m])] {
+					t.Fatalf("%s: mode %d row %d was touched but not listed", label, m, coords[e*n+m])
+				}
+			}
+			for i := 0; i < f.Rows; i++ {
+				if listed[i] {
+					continue
+				}
+				a, b := before[m].Row(i), f.Row(i)
+				for c := range a {
+					if a[c] != b[c] {
+						t.Fatalf("%s: mode %d row %d changed but is not listed", label, m, i)
+					}
+				}
+			}
+		}
+	}
+	coords, vals := eventStream(st.Dims, 10, 21)
+	check("anchor batch", coords, vals)
+	if err := u.Grow([]int{12, 7, 6}); err != nil {
+		t.Fatal(err)
+	}
+	grown, gvals := eventStream([]int{12, 7, 6}, 7, 22)
+	check("grown batch", grown, gvals)
+	check("repeat batch", coords[:3*3], vals[:3])
+	u.Reset(st)
+	for m := range st.Dims {
+		if len(u.Touched(m)) != 0 {
+			t.Fatalf("mode %d: Reset kept %d touched rows", m, len(u.Touched(m)))
+		}
+	}
+}
+
+// TestUpdaterGrowDrawsLikeRandomUniform pins the growth rows' values:
+// appending in place draws the same uniform variates, in the same
+// order, as stacking a fresh mat.RandomUniform block under the factor.
+func TestUpdaterGrowDrawsLikeRandomUniform(t *testing.T) {
+	opts := Options{Rank: 3, MaxIters: 5, Seed: 8}
+	u, st := anchoredUpdater(t, []int{6, 5, 4}, opts)
+	before := make([]*mat.Dense, len(st.Factors))
+	for m, f := range st.Factors {
+		before[m] = f.Clone()
+	}
+	src := xrand.New(u.opts.Seed)
+	dims := []int{6, 5, 4}
+	for _, next := range [][]int{{7, 5, 4}, {9, 6, 4}, {9, 6, 7}, {10, 9, 7}} {
+		if err := u.Grow(next); err != nil {
+			t.Fatal(err)
+		}
+		for m, d := range next {
+			if d > dims[m] {
+				before[m] = mat.StackRows(before[m], mat.RandomUniform(d-dims[m], opts.Rank, src))
+			}
+		}
+		dims = next
+		for m, f := range st.Factors {
+			if f.Rows != dims[m] || mat.MaxAbsDiff(f, before[m]) != 0 {
+				t.Fatalf("grow to %v: mode %d differs from stacked RandomUniform rows", next, m)
+			}
+		}
+	}
+}

@@ -398,6 +398,30 @@ func StackRows(a, b *Dense) *Dense {
 	return out
 }
 
+// AppendRows returns m extended by n zeroed rows, the way append
+// extends a slice: the new rows land in m's spare capacity when it
+// suffices, and otherwise the data moves to a fresh array with an
+// eighth of headroom. The growth is geometric, so growing one row at a
+// time costs amortised O(Cols) per row, and the headroom is smaller
+// than append's quarter because a large factor carries it for as long
+// as it lives. The result shares storage with m for the rows m already
+// had only when no reallocation happened; callers must use the
+// returned matrix, as with append.
+func AppendRows(m *Dense, n int) *Dense {
+	if n < 0 {
+		panic(fmt.Sprintf("mat: AppendRows with %d rows", n))
+	}
+	need := (m.Rows + n) * m.Cols
+	data := m.Data
+	if cap(data) < need {
+		data = make([]float64, len(m.Data), need+need/8)
+		copy(data, m.Data)
+	}
+	data = data[:need]
+	clear(data[len(m.Data):])
+	return &Dense{Rows: m.Rows + n, Cols: m.Cols, Data: data}
+}
+
 // SliceRows returns rows [from, to) of m as a view sharing storage.
 func (m *Dense) SliceRows(from, to int) *Dense {
 	if from < 0 || to < from || to > m.Rows {

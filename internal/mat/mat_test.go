@@ -235,6 +235,76 @@ func TestStackAndSliceRows(t *testing.T) {
 	}
 }
 
+func TestAppendRows(t *testing.T) {
+	a := NewFrom(2, 2, []float64{1, 2, 3, 4})
+	g := AppendRows(a, 2)
+	if g.Rows != 4 || g.Cols != 2 || len(g.Data) != 8 {
+		t.Fatalf("AppendRows shape %dx%d len %d", g.Rows, g.Cols, len(g.Data))
+	}
+	if MaxAbsDiff(g.SliceRows(0, 2), a) != 0 {
+		t.Fatal("AppendRows lost the existing rows")
+	}
+	for _, v := range g.Data[4:] {
+		if v != 0 {
+			t.Fatalf("appended rows not zeroed: %v", g.Data)
+		}
+	}
+	if a.Rows != 2 || len(a.Data) != 4 {
+		t.Fatal("AppendRows modified its argument's header")
+	}
+	if same := AppendRows(g, 0); same.Rows != 4 || &same.Data[0] != &g.Data[0] {
+		t.Fatal("AppendRows(m, 0) reallocated")
+	}
+
+	// Spare capacity is reused in place, and rows written into it by a
+	// previous, since-abandoned extension are zeroed again.
+	spare := &Dense{Rows: 1, Cols: 2, Data: make([]float64, 2, 8)}
+	spare.Data[0], spare.Data[1] = 7, 8
+	dirty := AppendRows(spare, 1)
+	dirty.Set(1, 0, 99)
+	h := AppendRows(spare, 2)
+	if &h.Data[0] != &spare.Data[0] {
+		t.Fatal("AppendRows reallocated despite spare capacity")
+	}
+	if h.At(0, 1) != 8 || h.At(1, 0) != 0 || h.At(2, 1) != 0 {
+		t.Fatalf("in-place AppendRows = %v", h.Data)
+	}
+	if !Overlaps(h, spare) || Overlaps(h.SliceRows(1, 3), spare) {
+		t.Fatal("alias checks disagree with the shared backing array")
+	}
+}
+
+// TestAppendRowsAmortized grows a factor one row at a time, the event
+// path's common case, and checks that reallocation is geometric: the
+// number of moves is logarithmic in the final size and the elements
+// copied across all of them stay within a constant factor of it —
+// where stacking a fresh matrix per row would copy quadratically.
+func TestAppendRowsAmortized(t *testing.T) {
+	const rows, cols = 20000, 10
+	m := New(0, cols)
+	moves, copied := 0, 0
+	for i := 0; i < rows; i++ {
+		before := m.Data
+		m = AppendRows(m, 1)
+		m.Set(i, 0, float64(i))
+		if cap(before) > 0 && &before[:cap(before)][0] != &m.Data[0] {
+			moves++
+			copied += len(before)
+		}
+	}
+	for i := 0; i < rows; i++ {
+		if m.At(i, 0) != float64(i) {
+			t.Fatalf("row %d lost across reallocations: %v", i, m.At(i, 0))
+		}
+	}
+	if moves > 128 {
+		t.Fatalf("%d reallocations for %d single-row appends, want O(log n)", moves, rows)
+	}
+	if copied > 10*rows*cols {
+		t.Fatalf("copied %d elements growing to %d, want O(n)", copied, rows*cols)
+	}
+}
+
 func TestCholeskyReconstruction(t *testing.T) {
 	src := xrand.New(7)
 	b := RandomGaussian(8, 4, src)

@@ -139,8 +139,15 @@ type StepReport struct {
 }
 
 // EventReport summarises one IngestEvents call. It is returned by
-// value and its Dims slice is reused by the stream — copy it if you
-// keep it past the next call.
+// value and its Dims, Changed and GrownFrom slices are reused by the
+// stream — copy them if you keep them past the next call.
+//
+// Changed, GrownFrom and AllChanged say which factor rows the call
+// may have rewritten, so a reader-facing copy of the factors can be
+// refreshed in proportion to the batch rather than the model. A row of
+// mode m changed iff AllChanged is set, it is listed in Changed[m], or
+// it lies in [GrownFrom[m], Dims[m]). Before the first decomposition
+// exists events only buffer, and nothing is reported changed.
 type EventReport struct {
 	Events      int         // events admitted by this call
 	RowsUpdated int64       // factor rows re-solved (bounded work actually done)
@@ -149,6 +156,17 @@ type EventReport struct {
 	Dims        []int       // current mode sizes after the call
 	Sweep       *StepReport // set when the drift backstop fired during this call
 	Wall        time.Duration
+
+	// Changed lists, per mode, the rows the event updates re-solved,
+	// sorted ascending and distinct; its total length is RowsUpdated.
+	Changed [][]int
+	// GrownFrom holds each mode's size before the call: rows from
+	// there up to Dims are new, randomly initialised, and changed
+	// whether or not Changed lists them.
+	GrownFrom []int
+	// AllChanged is set when the call swept (Sweep != nil): the sweep
+	// replaced the factors, so every row changed.
+	AllChanged bool
 }
 
 // Stream decomposes a multi-aspect streaming tensor. Create with
@@ -193,11 +211,12 @@ type Stream struct {
 	preVals   []float64
 
 	// Reused per-call scratch, so steady-state IngestEvents does not
-	// allocate.
+	// allocate. changed backs the report's per-mode row lists.
 	evCoords []int32
 	evVals   []float64
 	growDims []int
 	idxBuf   []int
+	changed  [][]int
 	rep      EventReport
 }
 
@@ -266,12 +285,18 @@ func (s *Stream) Ingest(snapshot *Tensor) (*StepReport, error) {
 // — bounded work per event — and the batch joins the pending region
 // consumed by the next full sweep. Before any data has been
 // decomposed, events buffer until the first flush runs full CP-ALS.
+//
+// An invalid batch is rejected before anything changes, with an empty
+// report. If the batch was applied but the drift-backstop sweep it
+// triggered fails, the error comes with the report of the row updates
+// already made (Sweep nil), so a caller mirroring the factors can
+// still see which rows changed.
 func (s *Stream) IngestEvents(events []Event) (EventReport, error) {
 	if err := s.ensureOpts(); err != nil {
 		return EventReport{}, err
 	}
 	start := time.Now()
-	s.rep = EventReport{Events: len(events), Dims: s.rep.Dims}
+	s.rep = EventReport{Events: len(events), Dims: s.rep.Dims, Changed: s.rep.Changed[:0], GrownFrom: s.rep.GrownFrom[:0]}
 	rep := &s.rep
 	if len(events) > 0 {
 		if err := s.checkEvents(events); err != nil {
@@ -287,9 +312,11 @@ func (s *Stream) IngestEvents(events []Event) (EventReport, error) {
 	if s.vopts.SweepEvery > 0 && rep.Pending >= s.vopts.SweepEvery {
 		sr, err := s.Flush()
 		if err != nil {
-			return EventReport{}, err
+			rep.Dims = append(rep.Dims[:0], s.liveDims()...)
+			return *rep, err
 		}
 		rep.Sweep = sr
+		rep.AllChanged = true
 		rep.Pending = s.pendingEvents()
 	}
 	rep.Dims = append(rep.Dims[:0], s.liveDims()...)
@@ -389,8 +416,10 @@ func (s *Stream) advance(prev *dtd.State, snapshot *tensor.Tensor) (*StepReport,
 	return report, nil
 }
 
-// checkEvents validates a batch: consistent order, non-negative
-// coordinates, finite values.
+// checkEvents validates a batch: consistent order, coordinates in
+// [0, MaxInt32] (the range the entry stores hold), finite values. It
+// runs before anything is buffered, grown or allocated, so a rejected
+// batch leaves the stream untouched.
 func (s *Stream) checkEvents(events []Event) error {
 	order := 0
 	switch {
@@ -413,6 +442,9 @@ func (s *Stream) checkEvents(events []Event) error {
 		for m, c := range ev.Coords {
 			if c < 0 {
 				return fmt.Errorf("dismastd: event %d has negative coordinate %d in mode %d", i, c, m)
+			}
+			if c > math.MaxInt32 {
+				return fmt.Errorf("dismastd: event %d coordinate %d in mode %d exceeds the int32 index range", i, c, m)
 			}
 		}
 		if math.IsNaN(ev.Value) || math.IsInf(ev.Value, 0) {
@@ -444,7 +476,8 @@ func (s *Stream) bufferPreInit(events []Event) {
 }
 
 // applyEvents grows the live dims when the batch requires it, then
-// hands the batch to the row updater.
+// hands the batch to the row updater and records the rows it changed
+// in rep. Every error return precedes the first change to the model.
 func (s *Stream) applyEvents(events []Event, rep *EventReport) error {
 	if s.updater == nil {
 		u, err := dtd.NewUpdater(s.state, s.dtdOptions(s.vopts.Seed))
@@ -453,6 +486,19 @@ func (s *Stream) applyEvents(events []Event, rep *EventReport) error {
 		}
 		s.updater = u
 	}
+	n := len(s.state.Dims)
+	s.evCoords = s.evCoords[:0]
+	s.evVals = s.evVals[:0]
+	for i := range events {
+		for _, c := range events[i].Coords {
+			s.evCoords = append(s.evCoords, int32(c))
+		}
+		s.evVals = append(s.evVals, events[i].Value)
+	}
+	if len(s.evCoords) != n*len(s.evVals) {
+		return fmt.Errorf("dismastd: inconsistent event batch")
+	}
+	rep.GrownFrom = append(rep.GrownFrom, s.state.Dims...)
 	s.growDims = append(s.growDims[:0], s.state.Dims...)
 	grew := false
 	for i := range events {
@@ -469,21 +515,20 @@ func (s *Stream) applyEvents(events []Event, rep *EventReport) error {
 		}
 		rep.Grew = true
 	}
-	n := len(s.state.Dims)
-	s.evCoords = s.evCoords[:0]
-	s.evVals = s.evVals[:0]
-	for i := range events {
-		for _, c := range events[i].Coords {
-			s.evCoords = append(s.evCoords, int32(c))
-		}
-		s.evVals = append(s.evVals, events[i].Value)
-	}
-	if len(s.evCoords) != n*len(s.evVals) {
-		return fmt.Errorf("dismastd: inconsistent event batch")
-	}
 	before := s.updater.RowsTouched()
 	s.updater.Apply(s.evCoords, s.evVals)
 	rep.RowsUpdated = s.updater.RowsTouched() - before
+	for len(s.changed) < n {
+		s.changed = append(s.changed, nil)
+	}
+	for m := 0; m < n; m++ {
+		rows := s.changed[m][:0]
+		for _, i := range s.updater.Touched(m) {
+			rows = append(rows, int(i))
+		}
+		s.changed[m] = rows
+	}
+	rep.Changed = s.changed[:n]
 	return nil
 }
 

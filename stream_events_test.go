@@ -417,3 +417,117 @@ func TestIngestEventsNoAllocSteadyState(t *testing.T) {
 		t.Fatalf("steady-state IngestEvents allocates %v per run", allocs)
 	}
 }
+
+// TestEventCoordinateBeyondInt32Rejected is the regression test for
+// wrapped coordinates: the entry stores hold int32 indices, so a
+// coordinate past MaxInt32 must be refused before anything is buffered
+// or grown — narrowing 1<<32+3 to 3 while growing the mode from the
+// unwrapped value once sized a 68 GB factor and killed the process.
+func TestEventCoordinateBeyondInt32Rejected(t *testing.T) {
+	bad := []dismastd.Event{{Coords: []int{1, 1<<32 + 3, 0}, Value: 1}}
+	edge := []dismastd.Event{{Coords: []int{1, math.MaxInt32 + 1, 0}, Value: 1}}
+
+	pre := dismastd.NewStream(dismastd.Options{Rank: 2})
+	for _, batch := range [][]dismastd.Event{bad, edge} {
+		if _, err := pre.IngestEvents(batch); err == nil {
+			t.Fatalf("pre-init stream accepted coordinate %d", batch[0].Coords[1])
+		}
+	}
+	if pre.Pending() != 0 {
+		t.Fatalf("rejected pre-init batch left %d events pending", pre.Pending())
+	}
+
+	first, _ := growingRatings(t)
+	s := dismastd.NewStream(dismastd.Options{Rank: 2, MaxIters: 5, Seed: 3})
+	if _, err := s.Ingest(first); err != nil {
+		t.Fatal(err)
+	}
+	dims := append([]int(nil), s.Dims()...)
+	for _, batch := range [][]dismastd.Event{bad, edge} {
+		rep, err := s.IngestEvents(batch)
+		if err == nil {
+			t.Fatalf("stream accepted coordinate %d", batch[0].Coords[1])
+		}
+		if rep.Grew || rep.RowsUpdated != 0 || len(rep.Changed) != 0 {
+			t.Fatalf("rejected batch reported changes: %+v", rep)
+		}
+	}
+	for m, d := range s.Dims() {
+		if d != dims[m] {
+			t.Fatalf("rejected batch grew dims %v -> %v", dims, s.Dims())
+		}
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("rejected batch left %d events pending", s.Pending())
+	}
+	if _, err := s.IngestEvents([]dismastd.Event{{Coords: []int{1, 2, 1}, Value: 2}}); err != nil {
+		t.Fatalf("stream unusable after rejection: %v", err)
+	}
+}
+
+// TestEventReportChangedRows checks the report's changed-row contract
+// against the factors themselves: between two calls, a row differs
+// only if the report lists it, places it in the grown range, or says
+// every row changed — and a sweep says so.
+func TestEventReportChangedRows(t *testing.T) {
+	first, _ := growingRatings(t)
+	s := dismastd.NewStream(dismastd.Options{Rank: 2, MaxIters: 5, Seed: 3, SweepEvery: 9})
+	if _, err := s.Ingest(first); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	swept := false
+	for call := 0; call < 8; call++ {
+		before := make([]*dismastd.Dense, len(s.Factors()))
+		for m, f := range s.Factors() {
+			before[m] = f.Clone()
+		}
+		batch := make([]dismastd.Event, 1+rng.Intn(3))
+		for i := range batch {
+			c := make([]int, len(s.Dims()))
+			for m, d := range s.Dims() {
+				c[m] = rng.Intn(d + 1) // sometimes one past the end: growth
+			}
+			batch[i] = dismastd.Event{Coords: c, Value: rng.Float64() + 0.5}
+		}
+		rep, err := s.IngestEvents(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.AllChanged != (rep.Sweep != nil) {
+			t.Fatalf("call %d: AllChanged %v with sweep %v", call, rep.AllChanged, rep.Sweep != nil)
+		}
+		if rep.AllChanged {
+			swept = true
+			continue
+		}
+		total := 0
+		for m, f := range s.Factors() {
+			listed := map[int]bool{}
+			for _, i := range rep.Changed[m] {
+				listed[i] = true
+			}
+			total += len(rep.Changed[m])
+			for i := 0; i < before[m].Rows; i++ {
+				if listed[i] || i >= rep.GrownFrom[m] {
+					continue
+				}
+				a, b := before[m].Row(i), f.Row(i)
+				for c := range a {
+					if a[c] != b[c] {
+						t.Fatalf("call %d: mode %d row %d changed but is not reported", call, m, i)
+					}
+				}
+			}
+			if rep.GrownFrom[m] != before[m].Rows || rep.Dims[m] != f.Rows {
+				t.Fatalf("call %d: mode %d grown range [%d, %d), factor %d -> %d rows", call, m, rep.GrownFrom[m], rep.Dims[m], before[m].Rows, f.Rows)
+			}
+		}
+		if int64(total) != rep.RowsUpdated {
+			t.Fatalf("call %d: %d changed rows listed, RowsUpdated %d", call, total, rep.RowsUpdated)
+		}
+	}
+	if !swept {
+		t.Fatal("SweepEvery never fired; the AllChanged path went untested")
+	}
+}
